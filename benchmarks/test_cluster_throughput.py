@@ -1,17 +1,8 @@
-"""Cluster + ANN serving throughput: JSON records and gates.
+"""IVF-cluster ANN retrieval: JSON record and gates.
 
-Two records land in ``benchmarks/results/cluster_throughput.json``
+One record lands in ``benchmarks/results/cluster_throughput.json``
 (or ``REPRO_BENCH_JSON``):
 
-- ``cluster_throughput`` — a live single-process threaded HTTP server
-  vs a sharded :class:`~repro.serving.cluster.ServingCluster` behind
-  the async micro-batching frontend (the cluster default) under the
-  seeded Zipf load harness (:mod:`tests.serving.loadgen`): req/s and
-  p50/p99 latency for both deployments.  **Gate**: sharded ≥ 2× the
-  single process's req/s on runners with ≥ 2 CPU cores; on a low-core
-  box (shard workers are processes, so the fleet is capped at one core
-  of scoring) the gate drops to ≥ 1× — the sharded async deployment
-  must still *beat* the single threaded process, never merely skip.
 - ``ann_retrieval`` — IVF candidate retrieval vs exact full-grid
   scoring on the large synthetic corpus: candidate recall@10 against
   the exact top-10 and the end-to-end scoring speedup
@@ -25,93 +16,24 @@ is far more conservative (half the clusters — see
 recall/latency trade-off measurement.
 """
 
-import json
-import os
-import threading
-
 import numpy as np
 import pytest
 
 from repro.data.synthetic import make_dataset
 from repro.experiments.registry import build_model
-from repro.serving import RecommendationService, ServingCluster, build_server
 from repro.serving.ann import ANNConfig
 from repro.serving.index import TopKIndex
 from repro.serving.scorer import BatchScorer
 from conftest import emit_bench_records, time_best
-from tests.serving.loadgen import drive, zipf_users
 
 pytestmark = [pytest.mark.serving, pytest.mark.cluster]
 
 MODEL = "BPR-MF"
 TOP_K = 10
-N_REQUESTS = 300
-N_CLIENTS = 8
 ANN_CLUSTERS = 40
 ANN_PROBES = 3
-SHARD_GATE = 2.0
-LOW_CORE_SHARD_GATE = 1.0
 ANN_RECALL_GATE = 0.95
 ANN_SPEEDUP_GATE = 5.0
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _drive_deployment(front, schedule, frontend="threaded") -> dict:
-    server = build_server(front, frontend=frontend)
-    accept = threading.Thread(target=server.serve_forever, daemon=True)
-    accept.start()
-    try:
-        result = drive(server.url, schedule, n_threads=N_CLIENTS, k=TOP_K)
-    finally:
-        server.shutdown()
-        server.server_close()
-    assert result.errors == [], result.errors[:3]
-    return result.summary()
-
-
-def measure_sharded(model, dataset, cores) -> dict:
-    schedule = zipf_users(dataset.n_users, N_REQUESTS, seed=0)
-    # cache_size=0 forces real scoring per request — the throughput
-    # comparison must measure compute, not two LRU caches racing.
-    factory = lambda: RecommendationService(  # noqa: E731
-        model, dataset, top_k=TOP_K, cache_size=0)
-
-    single = _drive_deployment(factory(), schedule, frontend="threaded")
-    n_shards = min(4, cores) if cores >= 2 else 2
-    # The sharded deployment rides the async micro-batching frontend —
-    # the `repro serve --shards N` default — so this record measures
-    # the shipped configuration, not a synthetic one.
-    with ServingCluster(factory, n_shards=n_shards) as cluster:
-        sharded = _drive_deployment(cluster, schedule, frontend="async")
-
-    gate_ratio = SHARD_GATE if cores >= 2 else LOW_CORE_SHARD_GATE
-    speedup = sharded["req_per_sec"] / single["req_per_sec"]
-    record = {
-        "benchmark": "cluster_throughput",
-        "model": MODEL,
-        "n_users": dataset.n_users,
-        "n_items": dataset.n_items,
-        "requests": N_REQUESTS,
-        "clients": N_CLIENTS,
-        "cores": cores,
-        "shards": n_shards,
-        "frontends": {"single": "threaded", "sharded": "async"},
-        "single": single,
-        "sharded": sharded,
-        "speedup_req_per_sec": speedup,
-        "gate": (f">= {gate_ratio}x req/s" if cores >= 2
-                 else f">= {gate_ratio}x req/s (low-core floor: the "
-                      f"sharded async deployment must still beat the "
-                      f"single threaded process)"),
-        "gate_passed": bool(speedup >= gate_ratio),
-    }
-    return record
 
 
 def measure_ann(model, dataset) -> dict:
@@ -161,36 +83,22 @@ def measure_ann(model, dataset) -> dict:
 def test_cluster_throughput(benchmark):
     dataset = make_dataset("movielens", seed=0, scale=4.0)
     model = build_model(MODEL, dataset, k=32, seed=0)
-    cores = _cores()
 
     def run_sweep():
-        return [measure_sharded(model, dataset, cores),
-                measure_ann(model, dataset)]
+        return [measure_ann(model, dataset)]
 
     records = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     emit_bench_records(records, "cluster_throughput.json")
 
-    sharded, ann = records
-    print(f"\nCluster throughput, {sharded['n_users']} users x "
-          f"{sharded['n_items']} items, {cores} core(s), "
-          f"{sharded['shards']} shards")
-    print(f"  single : {sharded['single']['req_per_sec']:8.1f} req/s  "
-          f"p50={sharded['single']['p50_ms']:.1f}ms "
-          f"p99={sharded['single']['p99_ms']:.1f}ms")
-    print(f"  sharded: {sharded['sharded']['req_per_sec']:8.1f} req/s  "
-          f"p50={sharded['sharded']['p50_ms']:.1f}ms "
-          f"p99={sharded['sharded']['p99_ms']:.1f}ms  "
-          f"({sharded['speedup_req_per_sec']:.2f}x)")
+    (ann,) = records
+    print(f"\nANN retrieval, {ann['n_users']} users x "
+          f"{ann['n_items']} items")
     print(f"  ann    : recall@10={ann['recall_at_10']:.4f}  "
           f"{ann['users_per_sec_exact']:.0f} -> "
           f"{ann['users_per_sec_ann']:.0f} users/s "
           f"({ann['speedup']:.1f}x, scans "
           f"{ann['scanned_fraction']:.0%} of the catalogue)")
 
-    assert sharded["gate_passed"], (
-        f"sharded async serving only {sharded['speedup_req_per_sec']:.2f}x "
-        f"the single threaded process's req/s on {cores} core(s); "
-        f"gate: {sharded['gate']}")
     assert ann["recall_at_10"] >= ANN_RECALL_GATE, (
         f"ANN candidate recall@10 {ann['recall_at_10']:.3f} below "
         f"{ANN_RECALL_GATE}")

@@ -13,9 +13,9 @@ Two records land in ``benchmarks/results/frontend_throughput.json``
   the same workload, it is a regression, on any core count.
 - ``frontend_parity`` — byte-level response equivalence: both frontends
   answer a scripted request stream (happy paths, every client-error
-  class, state-changing updates) over shard counts {1, 2, 4} and the
-  bodies must be byte-identical; ``/metrics`` must expose the same
-  series shape.  **Gate**: parity holds everywhere.
+  class, state-changing updates) against the same single-process
+  service and the bodies must be byte-identical; ``/metrics`` must
+  expose the same series shape.  **Gate**: parity holds.
 """
 
 import json
@@ -25,9 +25,9 @@ import pytest
 
 from repro.data.synthetic import make_dataset
 from repro.experiments.registry import build_model
-from repro.serving import RecommendationService, ServingCluster, build_server
+from repro.scenarios.loadgen import drive, zipf_users
+from repro.serving import RecommendationService, build_server
 from conftest import emit_bench_records
-from tests.serving.loadgen import drive, zipf_users
 
 pytestmark = [pytest.mark.serving, pytest.mark.streaming]
 
@@ -37,7 +37,6 @@ N_REQUESTS = 400
 N_CLIENTS = 8
 ASYNC_GATE = 1.0
 
-PARITY_SHARDS = (1, 2, 4)
 PARITY_SCRIPT = [
     ("GET", "/healthz", None),
     ("GET", "/recommend?user=1&k=10", None),
@@ -119,44 +118,34 @@ def measure_throughput(model, dataset) -> dict:
 
 
 def measure_parity(model, dataset) -> dict:
+    transcripts = {}
+    shapes = {}
+    for frontend in ("threaded", "async"):
+        service = RecommendationService(model, dataset, top_k=TOP_K,
+                                        cache_size=0)
+        server, thread = _serve(service, frontend)
+        try:
+            transcripts[frontend] = [
+                _call(server.url, method, path, body)
+                for method, path, body in PARITY_SCRIPT]
+            _, _, metrics_body = _call(server.url, "GET",
+                                       "/metrics?format=json")
+            shapes[frontend] = sorted(
+                (entry["name"], entry["type"], tuple(sorted(entry)))
+                for entry in json.loads(metrics_body)["metrics"])
+        finally:
+            _stop(server, thread)
     mismatches = []
-    for n_shards in PARITY_SHARDS:
-        transcripts = {}
-        shapes = {}
-        factory = lambda: RecommendationService(  # noqa: E731
-            model, dataset, top_k=TOP_K, cache_size=0)
-        for frontend in ("threaded", "async"):
-            if n_shards == 1:
-                front, closer = factory(), None
-            else:
-                closer = ServingCluster(factory, n_shards=n_shards)
-                front = closer.__enter__()
-            server, thread = _serve(front, frontend)
-            try:
-                transcripts[frontend] = [
-                    _call(server.url, method, path, body)
-                    for method, path, body in PARITY_SCRIPT]
-                _, _, metrics_body = _call(server.url, "GET",
-                                           "/metrics?format=json")
-                shapes[frontend] = sorted(
-                    (entry["name"], entry["type"], tuple(sorted(entry)))
-                    for entry in json.loads(metrics_body)["metrics"])
-            finally:
-                _stop(server, thread)
-                if closer is not None:
-                    closer.__exit__(None, None, None)
-        if transcripts["threaded"] != transcripts["async"]:
-            mismatches.append(f"shards={n_shards}: response bodies differ")
-        if shapes["threaded"] != shapes["async"]:
-            mismatches.append(f"shards={n_shards}: metrics shape differs")
+    if transcripts["threaded"] != transcripts["async"]:
+        mismatches.append("response bodies differ")
+    if shapes["threaded"] != shapes["async"]:
+        mismatches.append("metrics shape differs")
     return {
         "benchmark": "frontend_parity",
         "model": MODEL,
-        "shards": list(PARITY_SHARDS),
         "script_requests": len(PARITY_SCRIPT),
         "mismatches": mismatches,
-        "gate": "byte-identical bodies and metrics shape across frontends "
-                "for every shard count",
+        "gate": "byte-identical bodies and metrics shape across frontends",
         "gate_passed": not mismatches,
     }
 
@@ -182,8 +171,8 @@ def test_frontend_throughput(benchmark):
           f"p50={throughput['async']['p50_ms']:.1f}ms "
           f"p99={throughput['async']['p99_ms']:.1f}ms  "
           f"({throughput['speedup_req_per_sec']:.2f}x)")
-    print(f"  parity  : shards={parity['shards']} "
-          f"{'ok' if parity['gate_passed'] else parity['mismatches']}")
+    verdict = "ok" if parity["gate_passed"] else parity["mismatches"]
+    print(f"  parity  : {verdict}")
 
     assert throughput["gate_passed"], (
         f"async frontend only {throughput['speedup_req_per_sec']:.2f}x "

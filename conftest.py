@@ -21,15 +21,14 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "cluster: sharded-serving / ANN-retrieval subsystem tests "
-        "(repro.serving.cluster, repro.serving.ann): multi-process "
-        "equivalence, load generation, concurrency stress; run with "
+        "cluster: IVF-cluster ANN retrieval (repro.serving.ann) and "
+        "live-server load / concurrency-stress tests; run with "
         "`pytest -m cluster`",
     )
     config.addinivalue_line(
         "markers",
         "obs: observability subsystem tests (repro.obs): metrics "
-        "registry, request tracing, structured logs, op profiler, "
+        "registry, request tracing, op profiler, "
         "console surfaces; run with `pytest -m obs`",
     )
     config.addinivalue_line(
@@ -46,3 +45,16 @@ def pytest_configure(config):
         "(`repro lint --strict` over src/repro); run with "
         "`pytest -m lint`",
     )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Run the ``slow`` paper sweeps after everything else.
+
+    Collection order is alphabetical, which puts ``benchmarks/`` (and
+    its ~15 minutes of training sweeps) ahead of the ~1250 unit and
+    integration tests under ``tests/``.  Moving the slow items to the
+    end keeps every test in the run while letting ``pytest -x`` report
+    a broken unit test in a minute or two instead of after the sweeps.
+    The sort is stable, so order within each group is unchanged.
+    """
+    items.sort(key=lambda item: item.get_closest_marker("slow") is not None)

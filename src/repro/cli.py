@@ -17,7 +17,6 @@ the ``slow`` benchmarks, e.g. ``pytest -m slow benchmarks/``.)
     python -m repro serve --artifact bundle.npz --port 8765
     python -m repro serve --dataset movielens --model GML-FMmd --epochs 5
     python -m repro serve --online   # /update folds events into the model
-    python -m repro serve --shards 4 --replicas 2  # sharded worker fleet
     python -m repro serve --ann      # IVF candidate retrieval (sub-linear)
     python -m repro serve --trace    # per-request tracing (GET /trace)
     python -m repro serve --frontend async  # event loop + micro-batching
@@ -124,13 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="0 binds an ephemeral port (printed at startup)")
     serve.add_argument("--top-k", type=int, default=10, dest="top_k")
     serve.add_argument("--cache-size", type=int, default=1024, dest="cache_size")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="user-sharded worker processes; 1 (default) is "
-                            "the single-process path, N>1 forks a "
-                            "ServingCluster with deterministic user routing")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="replicas per shard (failover; only with "
-                            "--shards > 1)")
     serve.add_argument("--ann", action="store_true",
                        help="IVF candidate retrieval: score only the probed "
                             "item clusters instead of the full catalogue "
@@ -143,19 +135,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="ann_probes",
                        help="clusters scanned per query (default: half — "
                             "recall-safe; lower for throughput)")
-    serve.add_argument("--frontend", default="auto",
-                       choices=["auto", "threaded", "async"],
-                       help="HTTP transport: 'threaded' is the stdlib "
-                            "thread-per-request server, 'async' the "
+    serve.add_argument("--frontend", default="threaded",
+                       choices=["threaded", "async"],
+                       help="HTTP transport: 'threaded' (default) is the "
+                            "stdlib thread-per-request server, 'async' the "
                             "selector event loop that coalesces concurrent "
-                            "/recommend calls into micro-batches "
-                            "(byte-identical responses); 'auto' (default) "
-                            "picks async for --shards > 1, threaded "
-                            "otherwise")
+                            "/recommend calls into micro-batches (same "
+                            "ranked items; scores equal to within "
+                            "rounding)")
     serve.add_argument("--mmap", action="store_true",
                        help="memory-map the --artifact bundle read-only "
-                            "(dir-layout bundles only): replicas share one "
-                            "page cache instead of copying the model; "
+                            "(dir-layout bundles only): processes serving "
+                            "the same bundle share one page cache instead "
+                            "of copying the model; "
                             "incompatible with --online fold-in unless the "
                             "trainer copies on first write")
     serve.add_argument("--verbose", action="store_true",
@@ -166,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "invalidation)")
     serve.add_argument("--trace", action="store_true",
                        help="per-request tracing: mint a trace id per "
-                            "/recommend and /update, record spans across "
-                            "shard replicas, expose them on GET /trace "
+                            "/recommend and /update, record its spans, "
+                            "expose them on GET /trace "
                             "(observational only — responses are "
                             "byte-identical with tracing on or off)")
     serve.add_argument("--selfcheck", action="store_true",

@@ -2,7 +2,7 @@
 
 Serving processes may hold their model parameters as memory-mapped
 **read-only** views (``load_artifact(..., mmap=True)``): one page cache
-shared by every shard/replica on the host.  An in-place write into such
+shared by every serving process on the host.  An in-place write into such
 an array either crashes (``writeable=False`` → numpy's opaque
 ``ValueError: assignment destination is read-only``) or — were the map
 writable — would silently privatize pages and corrupt the artifact on

@@ -1,11 +1,10 @@
-"""Observability plane: metrics, tracing, structured logs, profiling.
+"""Observability plane: metrics, tracing, profiling.
 
 Module map::
 
     metrics.py   thread-safe registry (counters / gauges / log-bucketed
-                 histograms), Prometheus text rendering, snapshot merge
+                 histograms), Prometheus text rendering
     tracing.py   per-request trace ids + spans, bounded in-memory ring
-    logs.py      JSON-lines structured event logging
     profiler.py  opt-in op-level timing/allocation hooks on the
                  autograd engine (the fused-backend baseline producer)
     console.py   `repro top` live view and `repro bench report`
@@ -16,7 +15,6 @@ are **opt-in** (``repro serve --trace``, ``with profile():``) and
 observational only — responses are byte-identical with them on or off.
 """
 
-from repro.obs.logs import JsonLogger, default_logger
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -25,7 +23,6 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     NullRegistry,
     default_latency_buckets,
-    merge_snapshots,
     render_snapshot,
     snapshot_quantile,
 )
@@ -40,14 +37,11 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "default_latency_buckets",
-    "merge_snapshots",
     "render_snapshot",
     "snapshot_quantile",
     "Tracer",
     "Trace",
     "Span",
-    "JsonLogger",
-    "default_logger",
     "OpProfiler",
     "OpStats",
     "profile",

@@ -4,8 +4,8 @@
 and ``/metrics?format=json`` (registry snapshot) and renders a
 one-screen operational view — request rates computed from successive
 samples, latency percentiles read straight off the histogram snapshot
-(:func:`repro.obs.metrics.snapshot_quantile`), cache and cluster
-health.  Rendering is a pure function of the samples so tests drive it
+(:func:`repro.obs.metrics.snapshot_quantile`) and cache health.
+Rendering is a pure function of the samples so tests drive it
 without a terminal.
 
 ``repro bench report`` aggregates every JSON record under
@@ -110,13 +110,6 @@ def render_top(sample: dict, prev: Optional[dict] = None,
             f"({request_hist['count']} samples)")
     else:
         lines.append("latency    (no request samples yet)")
-    cluster = stats.get("cluster")
-    if cluster:
-        lines.append(
-            f"cluster    {cluster['shards']} shards x "
-            f"{cluster['replicas']} replicas   alive {cluster['alive']}   "
-            f"routed {cluster['requests_routed']}   "
-            f"failovers {cluster['failovers']}")
     return "\n".join(lines)
 
 

@@ -15,11 +15,9 @@ Design goals, in priority order:
   get-or-creates) and each ``inc``/``observe`` is one lock plus one or
   two additions — cheap enough for per-request use on the serving hot
   path (gated ≤3% overhead in ``benchmarks/test_obs_overhead.py``).
-- **Mergeable snapshots.**  ``snapshot()`` returns plain-JSON entries;
-  :func:`merge_snapshots` sums them across cluster shards and
-  :func:`render_snapshot` emits Prometheus exposition text from any
-  snapshot, so a :class:`~repro.serving.cluster.ServingCluster` can
-  aggregate replicas it cannot share memory with.
+- **Renderable snapshots.**  ``snapshot()`` returns plain-JSON
+  entries and :func:`render_snapshot` emits Prometheus exposition text
+  from any snapshot.
 
 Disabling is structural, not conditional: :data:`NULL_REGISTRY` hands
 out no-op handles with the same API, so instrumented code carries no
@@ -32,7 +30,7 @@ import math
 import threading
 import time
 from bisect import bisect_left
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 _TYPES = ("counter", "gauge", "histogram")
 
@@ -232,8 +230,8 @@ def snapshot_quantile(entry: dict, q: float) -> float:
     """Quantile of one histogram *snapshot* entry (e.g. over HTTP).
 
     The same cumulative walk :meth:`Histogram.quantile` performs,
-    usable by remote readers (``repro top``) and by cluster-merged
-    snapshots that no live ``Histogram`` object backs.
+    usable by remote readers (``repro top``) that hold no live
+    ``Histogram`` object.
     """
     if entry.get("type") != "histogram":
         raise ValueError(f"{entry.get('name')!r} is not a histogram")
@@ -382,44 +380,8 @@ NULL_REGISTRY = NullRegistry()
 
 
 # ----------------------------------------------------------------------
-# Snapshot algebra: merge across processes, render anywhere
+# Snapshot rendering
 # ----------------------------------------------------------------------
-def merge_snapshots(snapshots: Iterable[list[dict]]) -> list[dict]:
-    """Sum same-named entries across per-process snapshots.
-
-    Counter/gauge values add; histogram bucket counts, sums and counts
-    add element-wise (boundaries must agree — they come from the same
-    code).  Entry identity is ``(name, labels)``; first-seen order is
-    preserved so merged output stays stable.
-    """
-    merged: dict[tuple, dict] = {}
-    for snapshot in snapshots:
-        for entry in snapshot:
-            key = (entry["name"], tuple(sorted(entry["labels"].items())))
-            into = merged.get(key)
-            if into is None:
-                merged[key] = {k: (list(v) if isinstance(v, list) else v)
-                               for k, v in entry.items()}
-                continue
-            if into["type"] != entry["type"]:
-                raise ValueError(
-                    f"metric {entry['name']!r} has conflicting types: "
-                    f"{into['type']} vs {entry['type']}")
-            if entry["type"] == "histogram":
-                if list(into["boundaries"]) != list(entry["boundaries"]):
-                    raise ValueError(
-                        f"histogram {entry['name']!r} has mismatched "
-                        f"boundaries across snapshots")
-                into["counts"] = [a + b for a, b in
-                                  zip(into["counts"], entry["counts"])]
-                into["sum"] += entry["sum"]
-                into["count"] += entry["count"]
-                into["max"] = max(into["max"], entry["max"])
-            else:
-                into["value"] += entry["value"]
-    return list(merged.values())
-
-
 def _format_value(value: float) -> str:
     if value != value:  # NaN
         return "NaN"

@@ -1,9 +1,8 @@
 """Request tracing: per-request trace ids, spans, a bounded ring.
 
 A :class:`Tracer` is owned by whatever serves requests (the
-:class:`~repro.serving.service.RecommendationService`, the
-:class:`~repro.serving.cluster.ServingCluster`).  Tracing is **opt-in**
-and purely observational: spans record wall-clock offsets and tags,
+:class:`~repro.serving.service.RecommendationService`).  Tracing is
+**opt-in** and purely observational: spans record wall-clock offsets and tags,
 never touch request data, and the instrumented code paths are
 byte-identical with tracing on or off (asserted in
 ``tests/serving/test_observability.py``).
@@ -13,18 +12,11 @@ The model is deliberately small:
 - a **trace** is minted per request (`trace_id` = 16 hex chars) and
   collects a flat list of spans;
 - a **span** is a named timed section (``with tracer.span("rerank")``);
-  nested ``start`` calls while a trace is active become spans, so a
-  service running inside an already-traced cluster call contributes its
+  nested ``start`` calls while a trace is active become spans, so an
+  operation running inside an already-traced call contributes its
   spans to the caller's trace instead of starting a second one;
 - finished traces land in a bounded ring (``deque(maxlen)``) readable
   via ``GET /trace`` — old traces fall off, memory is bounded.
-
-Cross-process propagation: the cluster sends its trace id over the
-worker RPC; the worker *forces* a trace with that id (``start(...,
-trace_id=...)`` is active even when the worker's tracer is disabled),
-and the worker's spans travel back in the RPC reply, where the router
-absorbs them into the parent trace tagged with the replica's identity.
-One trace id therefore spans client → shard router → replica.
 """
 
 from __future__ import annotations
@@ -87,22 +79,6 @@ class Trace:
     def add_span(self, span: Span) -> None:
         with self._lock:
             self.spans.append(span)
-
-    def absorb(self, span_dicts: list[dict], prefix: str = "",
-               **tags) -> None:
-        """Merge remote span payloads (offsets are the remote clock's)."""
-        for payload in span_dicts:
-            span = Span(prefix + payload["name"],
-                        payload["start_ms"] / 1e3,
-                        payload["duration_ms"] / 1e3,
-                        dict(payload.get("tags", {})))
-            if tags:
-                span.tags = {**span.tags, **tags}
-            self.add_span(span)
-
-    def export_spans(self) -> list[dict]:
-        with self._lock:
-            return [span.to_dict() for span in self.spans]
 
     def to_dict(self) -> dict:
         with self._lock:
@@ -172,9 +148,7 @@ class Tracer:
 
     ``enabled=False`` (the default) makes :meth:`start` and
     :meth:`span` return a shared no-op context — instrumented call
-    sites cost one attribute read and one method call.  A ``trace_id``
-    passed to :meth:`start` forces a trace even when disabled; that is
-    the cross-process propagation path.
+    sites cost one attribute read and one method call.
     """
 
     def __init__(self, enabled: bool = False, capacity: int = 256):
@@ -201,7 +175,7 @@ class Tracer:
         trace = self.current()
         return trace.trace_id if trace is not None else None
 
-    def start(self, name: str, trace_id: Optional[str] = None):
+    def start(self, name: str):
         """Begin a trace (or a child span when one is already active).
 
         Returns a context manager yielding the :class:`Trace` (or
@@ -212,12 +186,11 @@ class Tracer:
             # Nested start: the enclosing request owns the trace; this
             # section is just a span of it.
             return _SpanContext(active, name, None)
-        if trace_id is None:
-            if not self.enabled:
-                return _NULL_CONTEXT
-            with self._counter_lock:
-                self._counter += 1
-                trace_id = _mint_trace_id(self._counter, self._seed_bits)
+        if not self.enabled:
+            return _NULL_CONTEXT
+        with self._counter_lock:
+            self._counter += 1
+            trace_id = _mint_trace_id(self._counter, self._seed_bits)
         return _TraceContext(self, Trace(trace_id, name))
 
     def span(self, name: str, **tags):

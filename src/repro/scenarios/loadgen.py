@@ -1,8 +1,6 @@
 """Seeded load generation against a live recommendation HTTP server.
 
-Grown out of ``tests/serving/loadgen.py`` (which now re-exports this
-module, so the existing load tests and cluster benchmarks are
-byte-identical): same multi-threaded closed-loop driver, same latency
+A multi-threaded closed-loop driver with per-request latency
 accounting, plus two generalizations the scenario engine needs —
 
 - :func:`drive` accepts either a bare user-id array or a

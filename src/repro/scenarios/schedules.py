@@ -8,10 +8,9 @@ builder is a pure function of its arguments plus an explicit ``seed``
 — reruns replay the identical stream, which is what makes the scenario
 capacity records reproducible.
 
-:func:`zipf_users` is the canonical hot-head mix the load tests have
-always used; it moved here verbatim from ``tests/serving/loadgen.py``
-(which now re-exports it) and its output is pinned byte-for-byte by a
-regression test.  The adversarial shapes compose around it:
+:func:`zipf_users` is the canonical hot-head mix the load tests use;
+its output is pinned byte-for-byte by a regression test.  The
+adversarial shapes compose around it:
 
 - :func:`flash_crowd` — a mid-run burst concentrates traffic on a tiny
   hot set (cache stampede / celebrity event);
@@ -73,7 +72,7 @@ def zipf_users(n_users: int, n_requests: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     ranks = (rng.zipf(alpha, size=n_requests) - 1) % n_users
     # Decouple "hot" from "low id": rank r serves the r-th user of a
-    # seeded permutation, so shard routing sees scattered hot users.
+    # seeded permutation, so hot users are scattered over the id range.
     permutation = rng.permutation(n_users)
     return permutation[ranks].astype(np.int64)
 

@@ -11,7 +11,6 @@ model into a service.  Module map::
     index.py      CSR seen-item masking + argpartition top-k ranking
     cache.py      thread-safe LRU result cache with hit/miss counters
     service.py    RecommendationService facade (micro-batching, stats)
-    cluster.py    user-sharded multi-process fleet (replicas, failover)
     server.py     stdlib-http JSON endpoint + `repro serve` backing
     frontend.py   selector event loop coalescing /recommend requests
                   into recommend_batch micro-batches
@@ -36,7 +35,6 @@ from repro.serving.artifact import (
 )
 from repro.serving.artifact import convert_artifact
 from repro.serving.cache import LRUCache
-from repro.serving.cluster import NoLiveReplicaError, ServingCluster
 from repro.serving.frontend import AsyncFrontend
 from repro.serving.index import TopKIndex
 from repro.serving.scorer import BatchScorer
@@ -58,8 +56,6 @@ __all__ = [
     "LRUCache",
     "Recommendation",
     "RecommendationService",
-    "ServingCluster",
-    "NoLiveReplicaError",
     "RecommendationServer",
     "build_server",
     "selfcheck",

@@ -32,8 +32,8 @@ are unchanged (``q'·V' = q·V``) while the cluster geometry aligns with
 the dimensions that actually move scores.
 
 Determinism: the codebook depends only on the vectors and
-``ANNConfig.seed``, so two processes (or two shard replicas) building
-from the same model state produce identical candidate sets.
+``ANNConfig.seed``, so two processes building from the same model
+state produce identical candidate sets.
 
 Recall/latency trade-off: ``probes/n_clusters`` is the scanned fraction
 of the catalogue.  The default (half the clusters) is tuned for

@@ -31,8 +31,8 @@ Two on-disk layouts share one loader:
     rebuilds the model over **memory-mapped, read-only**
     (``writeable=False``) views: page-cache-backed, demand-paged, and
     shared copy-on-write by every process on the host that maps the
-    same bundle — the substrate that lets an N-replica serving fleet
-    hold ~one copy of the model instead of N.
+    same bundle — the substrate that lets N serving processes on one
+    host hold ~one copy of the model instead of N.
 
 ``load_artifact`` reconstructs model + dataset without touching any
 training code.

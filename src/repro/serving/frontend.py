@@ -15,12 +15,18 @@ per-connection setup costs.  :class:`AsyncFrontend` inverts the design:
   ``batch_window`` seconds and ``max_batch`` users), so N queued
   lookups cost one grid scoring pass instead of N.
 
-Response *bodies* are byte-identical to the threaded frontend: both
-route through the shared request-semantics helpers in
+Both frontends route through the shared request-semantics helpers in
 ``serving.server`` (``respond_get`` / ``respond_post`` /
-``error_response``), and ``service.recommend`` is itself defined as
-``recommend_batch([user])[0]``, so batching cannot change a result.
-When a batch fails as a whole (one bad request must not poison its
+``error_response``), so statuses, error bodies and every uncoalesced
+response are byte-identical to the threaded frontend.  A coalesced
+``/recommend`` reply carries the same ranked items as a single-user
+one, with scores equal to within floating-point rounding — not byte
+for byte: numpy scores one user row with a matrix-vector product and
+several with a matrix-matrix product, which sum in different orders
+(differences of order 1e-14 relative for GML-FMmd).  Only a near-tie
+— two scores within rounding of each other — could swap adjacent
+items.  When a
+batch fails as a whole (one bad request must not poison its
 neighbors), the dispatcher falls back to per-request execution, which
 reproduces the threaded error behavior request-for-request.
 
@@ -103,9 +109,9 @@ class AsyncFrontend:
     Parameters
     ----------
     service:
-        Anything with the service call surface (a
-        :class:`~repro.serving.service.RecommendationService` or a
-        :class:`~repro.serving.cluster.ServingCluster`).
+        Anything with the
+        :class:`~repro.serving.service.RecommendationService` call
+        surface.
     batch_window:
         After the first queued ``/recommend`` request, how long the
         dispatcher waits (seconds) for companions to coalesce with.

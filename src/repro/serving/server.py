@@ -10,8 +10,7 @@ Endpoints (JSON over ``http.server``; no third-party dependencies):
 - ``GET /healthz`` — liveness probe
 - ``GET /stats`` — service counters (requests, cache hit rate, …)
 - ``GET /metrics`` — Prometheus text exposition (``?format=json`` for
-  the raw snapshot entries); clusters aggregate across shards and add
-  per-shard detail
+  the raw snapshot entries)
 - ``GET /trace?n=<count>`` — recent request traces (requires
   ``--trace``; empty list otherwise)
 
@@ -40,20 +39,21 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4"
 JSON_CONTENT_TYPE = "application/json"
 
 #: Default per-connection socket timeout (seconds).  A client that
-#: stalls mid-request used to pin a handler thread (and, behind a
-#: cluster, a replica RPC slot) forever; now the read trips, the
-#: connection gets a 408 (or a plain close when not even the request
-#: line arrived) and the thread is reclaimed.
+#: stalls mid-request would otherwise pin a handler thread forever; the
+#: read trips instead, the connection gets a 408 (or a plain close when
+#: not even the request line arrived) and the thread is reclaimed.
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
 
 # ----------------------------------------------------------------------
 # Request semantics shared by the threaded and async frontends.
 #
-# Both frontends answer every endpoint through these helpers, so the
-# response bodies are byte-identical by construction — the frontends
-# differ only in transport (thread-per-request blocking I/O vs one
-# selector loop) and in how /recommend calls are batched.
+# Both frontends answer every endpoint through these helpers, so status
+# codes, error bodies and every non-/recommend body are byte-identical
+# by construction — the frontends differ only in transport
+# (thread-per-request blocking I/O vs one selector loop) and in how
+# /recommend calls are batched (see ``serving.frontend`` for what
+# batching preserves).
 # ----------------------------------------------------------------------
 def json_response(status: int, payload: dict) -> tuple[int, str, bytes]:
     return status, JSON_CONTENT_TYPE, json.dumps(payload).encode("utf-8")
@@ -275,10 +275,10 @@ class RecommendHandler(BaseHTTPRequestHandler):
 class RecommendationServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the service for its handlers.
 
-    ``service`` is anything with the service call surface —
-    a :class:`RecommendationService` or a
-    :class:`~repro.serving.cluster.ServingCluster`; the handlers only
-    use ``recommend`` / ``update_interactions`` / ``stats``.
+    ``service`` is anything with the
+    :class:`RecommendationService` call surface; the handlers only use
+    the methods the shared ``respond_get`` / ``respond_post`` helpers
+    call.
     """
 
     daemon_threads = True
@@ -323,7 +323,7 @@ def build_server(service: RecommendationService, host: str = "127.0.0.1",
     micro-batching event loop (:class:`repro.serving.frontend.AsyncFrontend`).
     Both return an object with the same operational surface
     (``url`` / ``serve_forever`` / ``shutdown`` / ``server_close``) and
-    byte-identical response bodies.
+    the same response semantics.
     """
     if frontend == "threaded":
         if frontend_kwargs:
@@ -480,51 +480,23 @@ def selfcheck(verbose: bool = True) -> int:
 def serve_main(args) -> int:
     """Entry point behind ``python -m repro serve``.
 
-    ``--shards 1`` (the default) is the original single-process path,
-    untouched; ``--shards N`` builds the service once and forks it into
-    a :class:`~repro.serving.cluster.ServingCluster` of
-    ``N × --replicas`` workers behind the same HTTP front-end.
+    One process serves one model: it is one failure domain.  Restarting
+    it, or running several behind a load balancer, is the job of a
+    supervisor in front of it.
     """
     if args.selfcheck:
         return selfcheck()
-    shards = getattr(args, "shards", 1)
-    if shards < 1 or getattr(args, "replicas", 1) < 1:
-        raise SystemExit("--shards and --replicas must be >= 1")
     if getattr(args, "mmap", False) and not args.artifact:
         raise SystemExit("--mmap requires --artifact (a dir-layout bundle)")
-    frontend = getattr(args, "frontend", "auto") or "auto"
-    if frontend == "auto":
-        # Clusters default to the async frontend: one event loop in
-        # front of N replica processes beats a thread herd contending
-        # for the shard RPC locks.
-        frontend = "async" if shards > 1 else "threaded"
     service = _build_service(args)
-    cluster = None
-    front = service
-    if shards > 1:
-        from repro.obs.logs import JsonLogger
-        from repro.serving.cluster import ServingCluster
-
-        # The factory closes over the fully built service: fork gives
-        # every worker its own copy-on-write clone, so boot cost is
-        # paid once no matter how many replicas launch.  --verbose
-        # surfaces routine lifecycle events (spawns, readiness), not
-        # just the default warnings (failover, heartbeat miss).
-        cluster = ServingCluster(
-            lambda: service, n_shards=shards,
-            replicas=getattr(args, "replicas", 1), seed=args.seed,
-            heartbeat_interval=2.0,
-            tracing=getattr(args, "trace", False),
-            log=JsonLogger(min_level="info") if args.verbose else None)
-        front = cluster
-    server = build_server(front, host=args.host, port=args.port,
-                          verbose=args.verbose, frontend=frontend)
-    stats = front.stats()
+    server = build_server(service, host=args.host, port=args.port,
+                          verbose=args.verbose, frontend=args.frontend)
+    stats = service.stats()
     # Printed (and flushed) before blocking so callers binding port 0
     # can discover the ephemeral port.
     print(f"serving {stats['model']} on {server.url} "
           f"(dataset={stats['dataset']}, items={stats['n_items']}, "
-          f"shards={shards}, frontend={frontend})",
+          f"frontend={args.frontend})",
           flush=True)
     try:
         server.serve_forever()
@@ -533,6 +505,4 @@ def serve_main(args) -> int:
     finally:
         server.shutdown()
         server.server_close()
-        if cluster is not None:
-            cluster.close()
     return 0

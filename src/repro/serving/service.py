@@ -175,8 +175,8 @@ class RecommendationService:
 
         ``mmap=True`` (manifest-layout bundles only) maps the parameter
         arrays read-only instead of copying them into the process:
-        every service booted from the same bundle — including forked
-        cluster replicas — shares one page cache.  Read-only models
+        every service booted from the same bundle, in any process on
+        the host, shares one page cache.  Read-only models
         serve normally; fold-in needs ``mmap=False`` or an
         ``OnlineConfig(on_readonly="copy")`` trainer.
         """

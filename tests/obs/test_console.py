@@ -20,7 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 pytestmark = pytest.mark.obs
 
 
-def make_sample(t=100.0, requests=40, with_latency=True, cluster=None):
+def make_sample(t=100.0, requests=40, with_latency=True):
     registry = MetricsRegistry()
     if with_latency:
         hist = registry.histogram("repro_request_seconds",
@@ -37,8 +37,6 @@ def make_sample(t=100.0, requests=40, with_latency=True, cluster=None):
         "cache": {"size": 3, "capacity": 64, "hit_rate": 0.5,
                   "evictions": 1, "invalidations": 2},
     }
-    if cluster is not None:
-        stats["cluster"] = cluster
     return {"t": t, "stats": stats, "metrics": registry.snapshot()}
 
 
@@ -49,7 +47,6 @@ class TestRenderTop:
         assert "700 users" in text
         assert "3/64 entries   hit_rate 50.0%" in text
         assert "p50 " in text and "10 samples" in text
-        assert "cluster" not in text
 
     def test_rates_from_successive_samples(self):
         prev = make_sample(t=100.0, requests=40)
@@ -61,13 +58,6 @@ class TestRenderTop:
     def test_no_latency_samples(self):
         text = render_top(make_sample(with_latency=False))
         assert "(no request samples yet)" in text
-
-    def test_cluster_line(self):
-        cluster = {"shards": 2, "replicas": 2, "alive": 3,
-                   "requests_routed": 9, "failovers": 1}
-        text = render_top(make_sample(cluster=cluster))
-        assert "2 shards x 2 replicas   alive 3" in text
-        assert "failovers 1" in text
 
 
 class TestLoadRecords:

@@ -2,8 +2,9 @@
 
 The contracts the serving plane leans on: an N-thread hammer observes
 the exact total (no lost increments), histogram percentiles are
-monotone in q, snapshots merge across processes by summation, and the
-Prometheus text output is byte-stable (golden-pinned).
+monotone in q, a snapshot entry yields the same quantiles as its live
+histogram, and the Prometheus text output is byte-stable
+(golden-pinned).
 """
 
 import math
@@ -18,7 +19,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     default_latency_buckets,
-    merge_snapshots,
     render_snapshot,
     snapshot_quantile,
 )
@@ -134,37 +134,19 @@ class TestRegistry:
         assert NULL_REGISTRY.render() == ""
 
 
-class TestMerge:
-    def snapshots(self):
-        registries = []
-        for _ in range(3):
-            registry = MetricsRegistry()
-            registry.counter("reqs").inc(10)
-            hist = registry.histogram("lat", boundaries=(0.1, 1.0))
-            hist.observe(0.05)
-            hist.observe(5.0)
-            registries.append(registry)
-        return [r.snapshot() for r in registries]
+class TestSnapshotQuantile:
+    def test_matches_live_histogram(self):
+        hist = Histogram("lat", boundaries=(0.1, 1.0))
+        for value in (0.05, 0.05, 0.5, 5.0):
+            hist.observe(value)
+        entry = hist.snapshot()
+        for q in (0.25, 0.5, 0.75, 0.99):
+            assert snapshot_quantile(entry, q) == hist.quantile(q)
+        assert snapshot_quantile(entry, 0.99) == 5.0
 
-    def test_counters_and_histograms_sum(self):
-        merged = merge_snapshots(self.snapshots())
-        by_name = {e["name"]: e for e in merged}
-        assert by_name["reqs"]["value"] == 30
-        assert by_name["lat"]["count"] == 6
-        assert by_name["lat"]["counts"] == [3, 0, 3]
-        assert snapshot_quantile(by_name["lat"], 0.99) == 5.0
-
-    def test_type_conflict_raises(self):
-        a = [Counter("m").snapshot()]
-        b = [Gauge("m").snapshot()]
-        with pytest.raises(ValueError, match="conflicting types"):
-            merge_snapshots([a, b])
-
-    def test_boundary_mismatch_raises(self):
-        a = [Histogram("h", boundaries=(1.0,)).snapshot()]
-        b = [Histogram("h", boundaries=(2.0,)).snapshot()]
-        with pytest.raises(ValueError, match="mismatched"):
-            merge_snapshots([a, b])
+    def test_non_histogram_rejected(self):
+        with pytest.raises(ValueError, match="not a histogram"):
+            snapshot_quantile(Counter("m").snapshot(), 0.5)
 
 
 class TestExposition:

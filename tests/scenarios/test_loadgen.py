@@ -1,10 +1,9 @@
 """The generalized load generator: schedule plumbing + window stats.
 
-``zipf_users`` moved verbatim from ``tests/serving/loadgen.py`` into
-the shipped package; the CRC pin below freezes its exact bytes so the
-move (and any future edit) cannot silently change every load test's
-request mix.  ``LoadResult.window_stats`` is checked against a
-hand-computed oracle on synthetic latencies/errors.
+The CRC pin below freezes ``zipf_users``'s exact bytes so no edit can
+silently change every load test's request mix.
+``LoadResult.window_stats`` is checked against a hand-computed oracle
+on synthetic latencies/errors.
 """
 
 import zlib
@@ -19,8 +18,8 @@ pytestmark = pytest.mark.scenario
 
 #: CRC-32 of ``zipf_users(1000, 5000, seed=42).tobytes()`` at the time
 #: the helper graduated out of the test tree.  A mismatch means the
-#: canonical load schedule changed bytes — every load/cluster benchmark
-#: would silently measure a different mix.
+#: canonical load schedule changed bytes — every load benchmark would
+#: silently measure a different mix.
 ZIPF_1000x5000_SEED42_CRC32 = 0xE87BE7DF
 
 
@@ -30,13 +29,6 @@ class TestZipfRegression:
         assert users.dtype == np.int64
         assert zlib.crc32(users.tobytes()) == ZIPF_1000x5000_SEED42_CRC32
         assert users[:8].tolist() == [295, 12, 12, 872, 279, 866, 296, 211]
-
-    def test_shim_reexports_the_same_objects(self):
-        from tests.serving import loadgen as shim
-
-        assert shim.zipf_users is zipf_users
-        assert shim.LoadResult is LoadResult
-        assert shim.resolve_schedule is resolve_schedule
 
 
 class TestResolveSchedule:

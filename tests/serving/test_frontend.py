@@ -2,12 +2,12 @@
 
 The contract under test: the selector-based micro-batching frontend
 (``repro.serving.frontend.AsyncFrontend``) and the stdlib threaded
-frontend answer the same request stream with byte-identical bodies —
-for a single service and for sharded clusters — while the async loop
-actually coalesces concurrent ``/recommend`` calls into
-``recommend_batch`` micro-batches.  Plus the timeout regression (S1):
-a half-sent request gets a 408 and a closed connection instead of
-holding a worker hostage.
+frontend answer the same sequential request stream with byte-identical
+bodies, while the async loop actually coalesces concurrent
+``/recommend`` calls into ``recommend_batch`` micro-batches whose
+replies rank the same items with scores equal to within rounding.
+Plus the timeout regression (S1): a half-sent request gets a 408 and a
+closed connection instead of holding a worker hostage.
 """
 
 import http.client
@@ -17,10 +17,10 @@ import threading
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.experiments.registry import build_model
-from repro.serving.cluster import ServingCluster
 from repro.serving.server import build_server
 from repro.serving.service import RecommendationService
 from tests.helpers import make_tiny_dataset
@@ -52,20 +52,6 @@ def serve(service, frontend, **kwargs):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
-
-
-@contextmanager
-def deployment(model, ds, n_shards, frontend, **kwargs):
-    """A served deployment: plain service or an n-shard cluster."""
-    factory = lambda: RecommendationService(model, ds, top_k=5, cache_size=0)
-    if n_shards == 1:
-        service = factory()
-        with serve(service, frontend, **kwargs) as server:
-            yield server
-    else:
-        with ServingCluster(factory, n_shards=n_shards) as cluster:
-            with serve(cluster, frontend, **kwargs) as server:
-                yield server
 
 
 def call(url, method, path, body=None):
@@ -114,12 +100,11 @@ def transcript(server):
 
 
 class TestFrontendEquivalence:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_byte_identical_bodies_across_frontends(self, model, ds,
-                                                    n_shards):
+    def test_byte_identical_bodies_across_frontends(self, model, ds):
         results = {}
         for frontend in ("threaded", "async"):
-            with deployment(model, ds, n_shards, frontend) as server:
+            service = RecommendationService(model, ds, top_k=5, cache_size=0)
+            with serve(service, frontend) as server:
                 results[frontend] = transcript(server)
         assert results["threaded"] == results["async"]
         statuses = [status for status, _, _ in results["async"]]
@@ -211,11 +196,10 @@ class TestMicroBatching:
         # The point of the frontend: fewer scoring calls than requests.
         assert probe.batch_calls < n
 
-    def test_coalesced_responses_match_sequential(self, model, ds):
-        """Batched answers must be the answers, not approximations."""
-        reference = RecommendationService(model, ds, top_k=5, cache_size=0)
-        want = {user: reference.recommend(user, k=3).to_dict()
-                for user in range(ds.n_users)}
+    @staticmethod
+    def coalesced_replies(model, ds):
+        """Every user's ``/recommend?k=3`` reply, asked concurrently
+        through the async frontend, plus the probe that served them."""
         probe = _CoalescingProbe(
             RecommendationService(model, ds, top_k=5, cache_size=0))
         with serve(probe, "async", batch_window=0.05, max_batch=32) as server:
@@ -232,7 +216,32 @@ class TestMicroBatching:
                 t.start()
             for t in threads:
                 t.join(timeout=15)
+        return results, probe
+
+    def test_coalesced_responses_match_sequential(self, model, ds):
+        """Batched answers must be the answers, not approximations."""
+        reference = RecommendationService(model, ds, top_k=5, cache_size=0)
+        want = {user: reference.recommend(user, k=3).to_dict()
+                for user in range(ds.n_users)}
+        results, _ = self.coalesced_replies(model, ds)
         assert results == want
+
+    def test_coalesced_gml_fm_ranks_match_scores_within_rounding(self, ds):
+        """The guarantee for GML-FMmd's closed-form grid: a coalesced
+        reply ranks the same items as a single-user one, and its scores
+        agree to within floating-point rounding (one row and several
+        rows take different BLAS paths, so bytes may differ)."""
+        model = build_model("GML-FMmd", ds, k=8, seed=0)
+        reference = RecommendationService(model, ds, top_k=5, cache_size=0)
+        results, probe = self.coalesced_replies(model, ds)
+        assert probe.batch_calls < ds.n_users
+        for user in range(ds.n_users):
+            want = reference.recommend(user, k=3)
+            got = results[user]
+            assert got["user"] == user
+            assert got["items"] == want.items.tolist()
+            np.testing.assert_allclose(got["scores"], want.scores,
+                                       rtol=1e-12, atol=1e-12)
 
 
 def read_response(sock, timeout=10.0):

@@ -14,6 +14,11 @@ import pytest
 
 pytestmark = pytest.mark.serving
 
+#: The startup banner as out-of-process tooling parses it: the port
+#: from the URL, then the frontend named after it.
+BANNER = re.compile(
+    r"serving .* on http://127\.0\.0\.1:(\d+) .*frontend=(\w+)")
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
@@ -52,9 +57,10 @@ def live_server():
             banner = proc.stdout.readline()
             if "http://" in banner or proc.poll() is not None:
                 break
-        match = re.search(r"http://[\d.]+:(\d+)", banner)
+        match = BANNER.search(banner)
         if not match:
             raise RuntimeError(f"server never announced a port: {banner!r}")
+        assert match.group(2) == "threaded", banner
         yield f"http://127.0.0.1:{match.group(1)}"
     finally:
         proc.terminate()
@@ -93,6 +99,19 @@ class TestLiveEndpoints:
         _, upper = _get(live_server + "/recommend?user=2&k=5&exclude_seen=False")
         assert upper["items"] == lower["items"]
 
+    def test_update_masks_the_reported_item(self, live_server):
+        _, before = _get(live_server + "/recommend?user=5&k=5")
+        target = before["items"][0]
+        body = json.dumps({"user": 5, "item": target}).encode()
+        request = urllib.request.Request(
+            live_server + "/update", data=body, method="POST",
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=15) as resp:
+            report = json.loads(resp.read())
+        assert report["novel"] == 1
+        _, after = _get(live_server + "/recommend?user=5&k=5")
+        assert target not in after["items"]
+
     def test_bad_requests(self, live_server):
         for path, expected in [
             ("/recommend", 400),                   # missing user
@@ -108,72 +127,19 @@ class TestLiveEndpoints:
             assert "error" in body
 
 
-@pytest.mark.cluster
-class TestLiveShardedServer:
-    """`repro serve --shards/--replicas/--ann` end to end."""
+class TestServeFlags:
+    def test_ann_flag_builds_an_ann_service(self):
+        import argparse
 
-    @pytest.fixture(scope="class")
-    def sharded_server(self):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--dataset",
-             "amazon-auto", "--model", "BPR-MF", "--scale", "quick",
-             "--port", "0", "--k", "8", "--shards", "2", "--replicas", "2",
-             "--ann"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env=_env(), cwd=REPO_ROOT,
-        )
-        try:
-            deadline = time.monotonic() + 120
-            banner = ""
-            while time.monotonic() < deadline:
-                ready, _, _ = select.select([proc.stdout], [], [],
-                                            max(0.0, deadline - time.monotonic()))
-                if not ready:
-                    break
-                banner = proc.stdout.readline()
-                if "http://" in banner or proc.poll() is not None:
-                    break
-            match = re.search(r"http://[\d.]+:(\d+)", banner)
-            if not match:
-                raise RuntimeError(f"sharded server never announced a port: "
-                                   f"{banner!r}")
-            yield f"http://127.0.0.1:{match.group(1)}"
-        finally:
-            proc.terminate()
-            try:
-                proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        from repro.serving.server import _build_service
 
-    def test_recommend_and_cluster_stats(self, sharded_server):
-        status, payload = _get(sharded_server + "/recommend?user=5&k=5")
-        assert status == 200
-        assert len(set(payload["items"])) == 5
-        status, stats = _get(sharded_server + "/stats")
-        assert status == 200
-        assert stats["cluster"]["shards"] == 2
-        assert stats["cluster"]["replicas"] == 2
-        assert stats["cluster"]["alive"] == [2, 2]
-        assert stats["ann"] is True
-
-    def test_update_routes_through_the_cluster(self, sharded_server):
-        _, before = _get(sharded_server + "/recommend?user=5&k=5")
-        target = before["items"][0]
-        body = json.dumps({"user": 5, "item": target}).encode()
-        request = urllib.request.Request(
-            sharded_server + "/update", data=body, method="POST",
-            headers={"Content-Type": "application/json"})
-        with urllib.request.urlopen(request, timeout=15) as resp:
-            report = json.loads(resp.read())
-        assert report["novel"] == 1
-        _, after = _get(sharded_server + "/recommend?user=5&k=5")
-        assert target not in after["items"]
-
-    def test_bad_requests_map_to_400_across_shards(self, sharded_server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(sharded_server + "/recommend?user=999999&k=5")
-        assert excinfo.value.code == 400
+        args = argparse.Namespace(
+            artifact=None, dataset="amazon-auto", model="BPR-MF",
+            scale="quick", seed=0, k=8, epochs=0, top_k=5, cache_size=16,
+            ann=True, ann_clusters=None, ann_probes=None)
+        service = _build_service(args)
+        assert service.stats()["ann"] is True
+        assert len(set(service.recommend(5, k=5).items.tolist())) == 5
 
 
 class TestSelfcheck:

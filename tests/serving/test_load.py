@@ -1,20 +1,20 @@
-"""Seeded load harness against a live sharded HTTP server.
+"""Seeded load harness against a live HTTP server.
 
 N concurrent client threads drive a reproducible Zipf-skewed request
-mix (:mod:`tests.serving.loadgen`) at a real
-``ThreadingHTTPServer`` + :class:`~repro.serving.cluster.ServingCluster`
+mix (:mod:`repro.scenarios.loadgen`) at a real threaded
+``build_server`` + :class:`~repro.serving.service.RecommendationService`
 stack and assert the three things a load test can prove:
 
 - **zero errors** under concurrency (every scheduled request answered
   200 with a well-formed body);
 - **response equivalence** — each body is byte-identical to what the
-  single-process service returns for that user;
+  in-process service returns for that user;
 - **latency sanity** — p50/p99 are finite and measured (printed here;
   the JSON benchmark record with the throughput gate lives in
-  ``benchmarks/test_cluster_throughput.py``).
+  ``benchmarks/test_frontend_throughput.py``).
 
-Sized for the fast tier: a small corpus, a few hundred requests,
-thread/shard counts that do not assume a many-core box.
+Sized for the fast tier: a small corpus, a few hundred requests, a
+client count that does not assume a many-core box.
 """
 
 import json
@@ -25,8 +25,8 @@ import pytest
 
 from repro.data.synthetic import make_dataset
 from repro.experiments.registry import build_model
-from repro.serving import RecommendationService, ServingCluster, build_server
-from tests.serving.loadgen import drive, zipf_users
+from repro.scenarios.loadgen import drive, zipf_users
+from repro.serving import RecommendationService, build_server
 
 pytestmark = [pytest.mark.serving, pytest.mark.cluster]
 
@@ -53,14 +53,11 @@ def reference_bodies(model, corpus):
             for user in range(corpus.n_users)}
 
 
-def serve_cluster(model, corpus, n_shards, replicas=1):
-    cluster = ServingCluster(
-        lambda: RecommendationService(model, corpus, top_k=TOP_K),
-        n_shards=n_shards, replicas=replicas)
-    server = build_server(cluster)
+def serve(model, corpus):
+    server = build_server(RecommendationService(model, corpus, top_k=TOP_K))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    return cluster, server
+    return server
 
 
 class TestZipfSchedule:
@@ -82,18 +79,17 @@ class TestZipfSchedule:
             zipf_users(10, 0)
 
 
-class TestShardedLoad:
+class TestConcurrentLoad:
     def test_concurrent_load_zero_errors_and_equivalence(
             self, model, corpus, reference_bodies):
         schedule = zipf_users(corpus.n_users, N_REQUESTS, seed=0)
-        cluster, server = serve_cluster(model, corpus, n_shards=2)
+        server = serve(model, corpus)
         try:
             result = drive(server.url, schedule, n_threads=N_CLIENTS,
                            k=TOP_K)
         finally:
             server.shutdown()
             server.server_close()
-            cluster.close()
         assert result.errors == []
         assert result.n_requests == N_REQUESTS
         for position, body in enumerate(result.responses):
@@ -103,27 +99,6 @@ class TestShardedLoad:
         summary = result.summary()
         assert 0 < summary["p50_ms"] <= summary["p99_ms"]
         assert summary["req_per_sec"] > 0
-        print(f"\nsharded load: {summary['requests']} requests, "
+        print(f"\nconcurrent load: {summary['requests']} requests, "
               f"{summary['req_per_sec']:.0f} req/s, "
               f"p50={summary['p50_ms']:.1f}ms p99={summary['p99_ms']:.1f}ms")
-
-    def test_load_survives_replica_kill(self, model, corpus,
-                                        reference_bodies):
-        """Failover under concurrent fire: no errors, same bytes."""
-        schedule = zipf_users(corpus.n_users, N_REQUESTS // 2, seed=1)
-        cluster, server = serve_cluster(model, corpus, n_shards=2,
-                                        replicas=2)
-        try:
-            killer = threading.Timer(0.05, cluster.kill_replica, args=(0, 0))
-            killer.start()
-            result = drive(server.url, schedule, n_threads=N_CLIENTS,
-                           k=TOP_K)
-            killer.join()
-        finally:
-            server.shutdown()
-            server.server_close()
-            cluster.close()
-        assert result.errors == []
-        for position, body in enumerate(result.responses):
-            assert json.dumps(body) == \
-                reference_bodies[int(schedule[position])]

@@ -3,18 +3,14 @@
 Three contracts:
 
 1. **Zero perturbation** — recommendations are byte-identical with
-   tracing on vs off, for shard counts 1 and 2, including across a
-   replica failover (trace ids come from object identity and the
+   tracing on vs off (trace ids come from object identity and the
    monotonic clock, never from the model's RNG streams).
 2. **Backward compatibility** — the legacy ``/stats`` JSON counters are
    now views over the metrics registry and must agree with it exactly.
 3. **Exposure** — ``/metrics`` (Prometheus text and JSON) and
-   ``/trace`` answer over HTTP; cluster aggregation emits both merged
-   totals and per-shard ``shard=`` labelled series; failovers surface
-   in the structured log with the active trace id.
+   ``/trace`` answer over HTTP.
 """
 
-import io
 import json
 import threading
 import urllib.error
@@ -25,8 +21,7 @@ import pytest
 
 from repro.data.synthetic import make_dataset
 from repro.experiments.registry import build_model
-from repro.obs.logs import JsonLogger
-from repro.serving import RecommendationService, ServingCluster
+from repro.serving import RecommendationService
 from repro.serving.server import build_server
 
 pytestmark = [pytest.mark.serving, pytest.mark.obs]
@@ -48,17 +43,8 @@ def request_stream(corpus):
     return rng.integers(0, corpus.n_users, size=32).tolist()
 
 
-def make_factory(model, corpus, **kwargs):
-    return lambda: RecommendationService(model, corpus, top_k=5, **kwargs)
-
-
 def body(rec) -> str:
     return json.dumps(rec.to_dict())
-
-
-def log_events(stream):
-    return [json.loads(line) for line in
-            stream.getvalue().splitlines() if line]
 
 
 class TestTracingDoesNotPerturb:
@@ -69,41 +55,6 @@ class TestTracingDoesNotPerturb:
         for user in request_stream:
             assert body(traced.recommend(user)) == body(plain.recommend(user))
         assert traced.traces(), "tracing was on but captured nothing"
-
-    @pytest.mark.cluster
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_cluster_byte_identical_with_failover(self, model, corpus,
-                                                  request_stream, n_shards):
-        reference = RecommendationService(model, corpus, top_k=5)
-        stream = io.StringIO()
-        log = JsonLogger(stream=stream, min_level="info")
-        with ServingCluster(make_factory(model, corpus, tracing=True),
-                            n_shards=n_shards, replicas=2,
-                            tracing=True, log=log) as cluster:
-            for position, user in enumerate(request_stream):
-                if position == len(request_stream) // 2:
-                    cluster.kill_replica(0, 0)
-                assert body(cluster.recommend(user)) == \
-                    body(reference.recommend(user))
-            assert cluster.failovers >= 1
-            traces = cluster.traces()
-        assert traces, "cluster tracing captured nothing"
-        newest = traces[0]
-        assert newest["name"] == "recommend_batch"
-        # Replica-side spans were absorbed across the process boundary,
-        # prefixed with their shard/replica coordinates.
-        remote = [s for s in newest["spans"] if ":" in s["name"]]
-        assert remote, f"no absorbed replica spans in {newest['spans']}"
-        assert any(s["name"].endswith("rerank") for s in remote)
-        # The failover is visible in the structured log, tied to the
-        # request that hit the dead replica by its trace id.
-        events = log_events(stream)
-        failover = [e for e in events if e["event"] == "replica_failover"]
-        assert failover and failover[0]["shard"] == 0
-        assert failover[0]["trace_id"] is not None
-        assert any(t["trace_id"] == failover[0]["trace_id"] for t in traces)
-        assert any(e["event"] == "replica_spawn" for e in events)
-        assert any(e["event"] == "cluster_close" for e in events)
 
 
 class TestStatsBackwardCompat:
@@ -204,24 +155,3 @@ class TestHTTPEndpoints:
         span_names = {s["name"] for s in trace["spans"]}
         assert "cache_lookup" in span_names
         assert "rerank" in span_names
-
-
-@pytest.mark.cluster
-class TestClusterAggregation:
-    def test_merged_and_per_shard_series(self, model, corpus):
-        with ServingCluster(make_factory(model, corpus),
-                            n_shards=2) as cluster:
-            for user in range(6):
-                cluster.recommend(user)
-            entries = cluster.metrics_snapshot()
-            text = cluster.metrics_text()
-        merged = {e["name"]: e for e in entries if not e.get("labels")}
-        assert merged["repro_requests_total"]["value"] == 6
-        assert merged["repro_cluster_requests_routed_total"]["value"] == 6
-        per_shard = [e for e in entries
-                     if e["name"] == "repro_requests_total"
-                     and e.get("labels", {}).get("shard") is not None]
-        assert {e["labels"]["shard"] for e in per_shard} == {"0", "1"}
-        assert sum(e["value"] for e in per_shard) == 6
-        assert 'repro_requests_total{shard="0"}' in text
-        assert text.count("# TYPE repro_requests_total counter") == 1
